@@ -138,7 +138,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         max_effects=args.max_effects,
         allow_rule_changes=not args.no_rule_changes,
         jobs=args.jobs,
-        cache=not args.no_cache,
+        cache=False if args.no_cache else None,
         cache_dir=None if args.no_cache else args.cache_dir,
     )
     print(render_result(result))
@@ -663,7 +663,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
             subprocess_servers=args.subprocess,
             fsync=args.fsync,
             trace_dir=args.trace_dir,
-            supervise=not args.no_supervise,
             max_restart_attempts=args.max_restart_attempts,
             corrupt_regions=tuple(args.corrupt or ()),
             heartbeat_ms=args.heartbeat_ms,
@@ -1204,11 +1203,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed mid-file bit rot into REGION's commit log and "
         "object log while it is down in a crash window; the salvage "
         "path and scrubber must heal it (repeatable)",
-    )
-    load.add_argument(
-        "--no-supervise", action="store_true",
-        help="disable the supervisor: crash windows restart replicas "
-        "from the harness directly (legacy behaviour)",
     )
     load.add_argument(
         "--max-restart-attempts", type=int, default=5, metavar="N",

@@ -3,23 +3,12 @@
 The IPA analysis is dominated by small satisfiability queries whose
 inputs -- ground formulas over a finite domain, a parameter valuation
 and an integer bound -- are *values*: two queries with the same inputs
-have the same answer forever.  That makes them perfect candidates for
-content addressing.  :class:`SolverCache` keys every query by the
-SHA-256 of a canonical serialisation of the grounded constraints plus
-the theory configuration (domain constants, parameter values, integer
-bound), and stores the outcome in two tiers:
-
-- an **in-memory** dictionary, shared by every query issued through one
-  cache instance (a single ``run_ipa`` call, or a long-lived checker);
-- an optional **on-disk** store (``.ipa-cache/`` by default), sharded by
-  key prefix, so repeated analyses of the same specifications across
-  processes -- including the parallel scan workers -- are near-instant.
-
-Disk entries are JSON documents carrying their own schema version, the
-key they claim to answer, and a checksum over the payload.  A corrupted,
-truncated, tampered or stale (old schema) entry never produces a wrong
-answer: it is detected on load, treated as a miss, and overwritten by
-the recomputed result.
+have the same answer forever.  :class:`SolverCache` keys every query by
+the SHA-256 of a canonical serialisation of the grounded constraints
+plus the theory configuration (domain constants, parameter values,
+integer bound) and keeps the outcome in memory and, optionally, in a
+:mod:`repro.cas` disk tier shared across processes (the parallel scan
+workers included).
 
 SAT results may carry the satisfying model so a cache hit reproduces the
 *byte-identical* counterexample a fresh solver run would have found.
@@ -30,14 +19,12 @@ model recomputes it and upgrades the entry.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from repro.cas import DiskTier, address
 from repro.logic.ast import Atom, Const, Formula, NumPred, PredicateDecl, Sort
 from repro.logic.grounding import Domain
 from repro.obs import REGISTRY
@@ -88,8 +75,7 @@ def query_key(
     formulas: Iterable[Formula],
 ) -> str:
     """The content address (hex SHA-256) of one solver query."""
-    text = canonical_query_text(domain, params, int_bound, formulas)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return address(canonical_query_text(domain, params, int_bound, formulas))
 
 
 # ---------------------------------------------------------------------------
@@ -166,23 +152,23 @@ class CacheStats:
     writes: int = 0
     rejected: int = 0  # corrupted / stale / tampered entries discarded
 
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
-
     def as_dict(self) -> dict:
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "rejected": self.rejected,
-        }
+        return asdict(self)
 
 
-def _payload_checksum(payload: dict) -> str:
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+def _decode_entry(result: dict) -> CacheEntry:
+    """A disk result back to an entry; raises when it is malformed."""
+    sat = result["sat"]
+    if not isinstance(sat, bool):
+        raise ValueError("malformed verdict")
+    model_blob = result.get("model")
+    if model_blob is not None and (
+        not isinstance(model_blob, dict)
+        or "atoms" not in model_blob
+        or "numerics" not in model_blob
+    ):
+        raise ValueError("malformed model")
+    return CacheEntry(sat=sat, model_blob=model_blob)
 
 
 class SolverCache:
@@ -196,7 +182,11 @@ class SolverCache:
     """
 
     def __init__(self, directory: str | os.PathLike | None = None) -> None:
-        self._dir = Path(directory) if directory is not None else None
+        self._disk = (
+            DiskTier(directory, CACHE_SCHEMA, self._reject)
+            if directory is not None
+            else None
+        )
         self._memory: dict[str, CacheEntry] = {}
         self.stats = CacheStats()
         # Process-wide counterparts of ``stats`` under the dotted metric
@@ -210,7 +200,7 @@ class SolverCache:
 
     @property
     def directory(self) -> Path | None:
-        return self._dir
+        return self._disk.directory if self._disk is not None else None
 
     def key(
         self,
@@ -240,8 +230,8 @@ class SolverCache:
                 self.stats.memory_hits += 1
                 self._hits_memory.value += 1
             return entry
-        if self._dir is not None:
-            disk = self._load_disk(key)
+        if self._disk is not None:
+            disk = self._disk.load(key, _decode_entry)
             if disk is not None:
                 # Another process may have upgraded the entry with a
                 # model; prefer the richer of the two copies.
@@ -270,7 +260,7 @@ class SolverCache:
         )
         previous = self._memory.get(key)
         self._memory[key] = entry
-        if self._dir is not None:
+        if self._disk is not None:
             # Skip the disk write when it would not add information
             # (same verdict, and no model upgrade).
             if (
@@ -279,79 +269,10 @@ class SolverCache:
                 and not (entry.has_model and not previous.has_model)
             ):
                 return
-            self._write_disk(key, entry)
+            self._disk.save(key, {"sat": sat, "model": entry.model_blob})
         self.stats.writes += 1
         self._writes.value += 1
 
-    # -- disk tier ----------------------------------------------------------
-
-    def _path(self, key: str) -> Path:
-        assert self._dir is not None
-        return self._dir / key[:2] / f"{key}.json"
-
-    def _load_disk(self, key: str) -> CacheEntry | None:
-        path = self._path(key)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        try:
-            document = json.loads(raw)
-            if not isinstance(document, dict):
-                raise ValueError("not an object")
-            if document.get("schema") != CACHE_SCHEMA:
-                raise ValueError("stale schema")
-            if document.get("key") != key:
-                raise ValueError("key mismatch")
-            payload = document["result"]
-            if document.get("checksum") != _payload_checksum(payload):
-                raise ValueError("checksum mismatch")
-            sat = payload["sat"]
-            if not isinstance(sat, bool):
-                raise ValueError("malformed verdict")
-            model_blob = payload.get("model")
-            if model_blob is not None and (
-                not isinstance(model_blob, dict)
-                or "atoms" not in model_blob
-                or "numerics" not in model_blob
-            ):
-                raise ValueError("malformed model")
-            return CacheEntry(sat=sat, model_blob=model_blob)
-        except (KeyError, ValueError, TypeError):
-            # Corrupted, tampered or stale: never trust it.  Drop the
-            # file so the recomputed result replaces it cleanly.
-            self.stats.rejected += 1
-            self._rejects.value += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-
-    def _write_disk(self, key: str, entry: CacheEntry) -> None:
-        path = self._path(key)
-        payload = {"sat": entry.sat, "model": entry.model_blob}
-        document = {
-            "schema": CACHE_SCHEMA,
-            "key": key,
-            "checksum": _payload_checksum(payload),
-            "result": payload,
-        }
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(document, handle)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            # A read-only or full disk degrades to memory-only caching.
-            pass
+    def _reject(self) -> None:
+        self.stats.rejected += 1
+        self._rejects.value += 1

@@ -16,6 +16,7 @@ import hashlib
 import os
 import pickle
 from dataclasses import dataclass, field
+from typing import Literal
 
 from repro.errors import AnalysisError, UnsolvableConflictError
 from repro.obs import TRACER, monotonic
@@ -272,7 +273,7 @@ def run_ipa(
     strict: bool = False,
     checker: ConflictChecker | None = None,
     jobs: int = 1,
-    cache: SolverCache | bool | None = None,
+    cache: SolverCache | Literal[False] | None = None,
     cache_dir: str | os.PathLike | None = None,
 ) -> IpaResult:
     """Make ``spec`` invariant-preserving (Algorithm 1).
@@ -290,18 +291,18 @@ def run_ipa(
       remaining pairs of each round concurrently and consume the results
       in deterministic pair order.
     - ``cache``: a :class:`~repro.analysis.cache.SolverCache` to share,
-      ``False`` to disable caching, or ``None``/``True`` to create one
-      (with a persistent tier under ``cache_dir`` if given).
+      ``False`` to disable caching, or ``None`` to create one (with a
+      persistent tier under ``cache_dir`` if given).
     - ``cache_dir``: directory for the on-disk cache tier; required for
       parallel workers to share results with the main process.
     """
     started = monotonic()
     run_span = TRACER.start("analysis.run", spec=spec.name, jobs=max(1, jobs))
     work = spec.copy()
-    if cache is False:
-        cache = None
-    elif cache is None or cache is True:
+    if cache is None:
         cache = SolverCache(cache_dir)
+    elif cache is False:
+        cache = None
     if checker is None:
         checker = ConflictChecker(work, cache=cache)
     if checker.spec is not work:

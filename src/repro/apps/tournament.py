@@ -10,7 +10,7 @@ Figure 1; the IPA variant applies the repairs the analysis proposes
   plus touch ``tournament(t)`` (the Figure 3 ``ensureDoMatch``)
 - ``finish_tourn``+= touch ``tournament(t)``             (Figure 3 ``ensureEnd``)
 - ``rem_tourn``   += clear ``enrolled(*,t)``, ``active(t)``,
-  ``finished(t)``, ``inMatch(*,*,t)`` with rem-wins tombstones
+  ``inMatch(*,*,t)`` with rem-wins tombstones, and ``finished(t)``
 - the capacity bound becomes a Compensation Set trim.
 
 State layout (one CRDT per predicate, as §4.1 describes):
@@ -110,9 +110,12 @@ def tournament_registry(
 
     The IPA variant installs the convergence rules the analysis chose:
     ``tournaments`` stays add-wins (so touches restore it), while
-    ``enrolled``/``active``/``finished``/``inMatch`` become rem-wins so
+    ``enrolled``/``active``/``inMatch`` become rem-wins so
     ``rem_tourn``'s wildcard clears win; the capacity bound rides on a
-    Compensation Set per tournament.
+    Compensation Set per tournament.  ``finished`` stays add-wins, as
+    the analysis prescribes: a ``begin_tourn`` concurrent with
+    ``finish_tourn`` must not erase the finish, since rem-wins
+    ``active`` already drops the begin's own status.
     """
     registry = TypeRegistry()
     registry.register("players", AWSet)
@@ -120,7 +123,7 @@ def tournament_registry(
     if variant is Variant.IPA:
         registry.register("enrolled", RWSet)
         registry.register("active", RWSet)
-        registry.register("finished", RWSet)
+        registry.register("finished", AWSet)
         registry.register("inMatch", RWSet)
         registry.register_prefix(
             "capacity:", lambda: CompensationSet(max_size=capacity)

@@ -1,27 +1,17 @@
 """Content-addressed cache of compiled spec artifacts.
 
-Compiling a spec is cheap (a few milliseconds) but the checker builds
-oracles by the thousand -- one per trial, several per explorer sweep --
-and every one of those used to pay the full AST walk.  Like the solver
-cache (:mod:`repro.analysis.cache`, the template for this module), the
-compiled artifact is a pure function of its inputs: the schema's sorts,
-predicates and parameters plus the invariant formulas fully determine
-the generated source.  So artifacts are content-addressed by the
-SHA-256 of a canonical serialisation of the spec and stored in two
-tiers:
-
-- an **in-memory** map from key to ready :class:`CompiledSpec` (closures
-  included), shared process-wide through :func:`default_cache`;
-- an optional **on-disk** tier holding the generated *sources*, sharded
-  by key prefix.  A disk hit skips codegen and goes straight to
-  ``compile()``/``exec`` -- the sources are byte-identical to what a
-  fresh walk would emit, so cache hits cannot change behaviour.
-
-Disk entries carry their schema version, the key they claim to answer,
-and a checksum; corrupted or stale entries are rejected, deleted, and
-recomputed.  Specs the code generator cannot handle are remembered as
-negative entries so the interpreter fallback is chosen once, not
-re-attempted per trial.
+The checker builds oracles by the thousand -- one per trial, several
+per explorer sweep -- and the compiled artifact is a pure function of
+the spec: the schema's sorts, predicates and parameters plus the
+invariant formulas fully determine the generated source.  So
+:class:`SpecCache` keys it by the SHA-256 of a canonical serialisation
+of the spec and keeps ready :class:`CompiledSpec` closures in memory
+(shared process-wide through :func:`default_cache`) and, optionally,
+the generated *sources* in a :mod:`repro.cas` disk tier.  A disk hit
+skips only codegen: the sources are byte-identical to what a fresh walk
+emits, so hits cannot change behaviour.  Specs the code generator
+cannot handle are remembered as negative entries, so the interpreter
+fallback is chosen once, not re-attempted per trial.
 
 The ``REPRO_NO_COMPILE`` environment variable (or the ``--no-compile``
 CLI flag, which calls :func:`set_compilation`) disables compilation
@@ -31,12 +21,9 @@ oracle runs the pure interpreter.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import tempfile
-from pathlib import Path
 
+from repro.cas import DiskTier, address
 from repro.compile.formula import (
     CompiledSpec,
     Uncompilable,
@@ -49,7 +36,7 @@ from repro.spec.application import ApplicationSpec
 
 #: Bump when the code generator's output (or anything affecting the
 #: meaning of a cached source) changes; older entries become stale.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 _ENABLED: bool | None = None
 
@@ -93,36 +80,34 @@ def canonical_spec_text(spec: ApplicationSpec) -> str:
 
 def spec_cache_key(spec: ApplicationSpec) -> str:
     """The content address (hex SHA-256) of one spec's compiled form."""
-    text = canonical_spec_text(spec)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return address(canonical_spec_text(spec))
 
 
-def _sources_checksum(sources: list) -> str:
-    body = json.dumps(sources, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+def _decode_sources(result: list) -> list[tuple[str, str]]:
+    """A disk result back to ``(name, source)`` pairs; raises when it is
+    malformed."""
+    sources = [(name, source) for name, source in result]
+    if not all(isinstance(x, str) for pair in sources for x in pair):
+        raise ValueError("malformed source entry")
+    return sources
 
 
 class SpecCache:
     """Two-tier (memory + disk) store of compiled spec artifacts.
 
     ``directory=None`` keeps compiled specs purely in memory; pass a
-    directory (or set ``REPRO_COMPILE_CACHE_DIR``) to persist generated
-    sources across processes.
+    directory to persist generated sources across processes.
     """
 
     def __init__(self, directory: str | os.PathLike | None = None) -> None:
-        if directory is None:
-            directory = os.environ.get("REPRO_COMPILE_CACHE_DIR") or None
-        self._dir = Path(directory) if directory is not None else None
+        self._disk = (
+            DiskTier(directory, CACHE_SCHEMA) if directory is not None else None
+        )
         # key -> CompiledSpec, or None for specs codegen rejected.
         self._memory: dict[str, CompiledSpec | None] = {}
         self._hits = REGISTRY.counter("compile.cache.hit")
         self._misses = REGISTRY.counter("compile.cache.miss")
         self._build_ms = REGISTRY.counter("compile.build_ms")
-
-    @property
-    def directory(self) -> Path | None:
-        return self._dir
 
     def get_or_build(
         self, spec: ApplicationSpec, strict: bool = False
@@ -136,28 +121,18 @@ class SpecCache:
         key = spec_cache_key(spec)
         if key in self._memory:
             compiled = self._memory[key]
-            if compiled is None and strict:
-                return self._build(spec, key, strict=True)
-            self._hits.value += 1
-            return compiled
-        sources = self._load_disk(key)
-        if sources is not None:
-            started = monotonic()
-            compiled = CompiledSpec(
-                key,
-                tuple(load_invariant(name, src) for name, src in sources),
-                build_domain_extractor(spec.schema),
+            if compiled is not None or not strict:
+                self._hits.value += 1
+                return compiled
+            # A strict caller rebuilds to see the Uncompilable raised.
+        else:
+            sources = (
+                self._disk.load(key, _decode_sources) if self._disk else None
             )
-            self._build_ms.value += (monotonic() - started) * 1000.0
-            self._memory[key] = compiled
-            self._hits.value += 1
-            return compiled
-        self._misses.value += 1
-        return self._build(spec, key, strict=strict)
-
-    def _build(
-        self, spec: ApplicationSpec, key: str, strict: bool
-    ) -> CompiledSpec | None:
+            if sources is not None:
+                self._hits.value += 1
+                return self._load(spec, key, sources, monotonic())
+            self._misses.value += 1
         started = monotonic()
         try:
             sources = generate_spec_sources(spec)
@@ -166,6 +141,17 @@ class SpecCache:
             if strict:
                 raise
             return None
+        if self._disk is not None:
+            self._disk.save(key, [list(pair) for pair in sources])
+        return self._load(spec, key, sources, started)
+
+    def _load(
+        self,
+        spec: ApplicationSpec,
+        key: str,
+        sources: list[tuple[str, str]],
+        started: float,
+    ) -> CompiledSpec:
         compiled = CompiledSpec(
             key,
             tuple(load_invariant(name, src) for name, src in sources),
@@ -173,77 +159,7 @@ class SpecCache:
         )
         self._build_ms.value += (monotonic() - started) * 1000.0
         self._memory[key] = compiled
-        if self._dir is not None:
-            self._write_disk(key, sources)
         return compiled
-
-    # -- disk tier ----------------------------------------------------------
-
-    def _path(self, key: str) -> Path:
-        assert self._dir is not None
-        return self._dir / key[:2] / f"{key}.json"
-
-    def _load_disk(self, key: str) -> list[tuple[str, str]] | None:
-        if self._dir is None:
-            return None
-        path = self._path(key)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        try:
-            document = json.loads(raw)
-            if not isinstance(document, dict):
-                raise ValueError("not an object")
-            if document.get("schema") != CACHE_SCHEMA:
-                raise ValueError("stale schema")
-            if document.get("key") != key:
-                raise ValueError("key mismatch")
-            sources = document["sources"]
-            if document.get("checksum") != _sources_checksum(sources):
-                raise ValueError("checksum mismatch")
-            out: list[tuple[str, str]] = []
-            for item in sources:
-                name, source = item
-                if not isinstance(name, str) or not isinstance(source, str):
-                    raise ValueError("malformed source entry")
-                out.append((name, source))
-            return out
-        except (KeyError, ValueError, TypeError):
-            # Corrupted, tampered or stale: recompute and replace.
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-
-    def _write_disk(self, key: str, sources: list[tuple[str, str]]) -> None:
-        path = self._path(key)
-        blob = [[name, source] for name, source in sources]
-        document = {
-            "schema": CACHE_SCHEMA,
-            "key": key,
-            "checksum": _sources_checksum(blob),
-            "sources": blob,
-        }
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(document, handle)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            # Read-only or full disk degrades to memory-only caching.
-            pass
 
 
 _DEFAULT: SpecCache | None = None

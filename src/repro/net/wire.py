@@ -178,12 +178,17 @@ def dump_frame(message: dict[str, Any]) -> bytes:
 
 
 def load_frame(body: bytes) -> dict[str, Any]:
-    """Decode one frame body (without the length prefix)."""
+    """Decode one frame body (without the length prefix).
+
+    Whatever is wrong with a body -- bad UTF-8 or JSON, a tag whose
+    contents do not fit it (an unhashable set member, a short dict pair,
+    fields a dataclass does not take), nesting too deep to walk -- it is
+    raised as :class:`WireError`, the one error a reader must handle.
+    """
     try:
-        raw = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError(f"undecodable frame: {exc}") from exc
-    message = decode(raw)
+        message = decode(json.loads(body.decode("utf-8")))
+    except (ValueError, TypeError, AttributeError, RecursionError) as exc:
+        raise WireError(f"undecodable frame: {exc!r}") from exc
     if not isinstance(message, dict):
         raise WireError(f"frame is not a message dict: {message!r}")
     return message

@@ -48,6 +48,21 @@ def test_repaired_configs_are_clean(app: str, config: str) -> None:
     ]
 
 
+@pytest.mark.parametrize("seed", [20, 28, 48])
+def test_ipa_tournament_begin_concurrent_with_finish_is_clean(
+    seed: int,
+) -> None:
+    """A ``begin_tourn`` concurrent with ``finish_tourn`` once erased the
+    finish (``finished`` was rem-wins), leaving matches of a tournament
+    neither active nor finished; these partition+crash trials hit it."""
+    spec = build_trial(
+        "tournament", "IPA", seed, 3, n_ops=300,
+        params={"n_players": 150, "n_tournaments": 40},
+    )
+    result = run_trial(spec)
+    assert not result.violations, [v.describe() for v in result.violations]
+
+
 def test_trials_converge_and_complete_ops() -> None:
     for index in range(SMOKE_TRIALS):
         spec = build_trial("tournament", "Causal", SMOKE_SEED, index)

@@ -110,6 +110,25 @@ class TestFraming:
         with pytest.raises(wire.WireError, match="not a message"):
             wire.load_frame(json.dumps({"l": [1, 2]}).encode())
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"d": [["m", {"s": [{"l": [1]}]}]]}',
+            b'{"d": [["m", {"c": "Dot", "f": {"bogus": 1}}]]}',
+            b'{"d": [["m", {"c": "Dot", "f": [1]}]]}',
+            b'{"d": [[{"l": [1]}, 2]]}',
+            b'{"d": [["m"]]}',
+            b'{"d": [["m", ' + b'{"l": [' * 5000 + b"]}" * 5000 + b"]]}",
+        ],
+        ids=[
+            "set-of-lists", "bad-dataclass-fields", "fields-not-a-dict",
+            "list-as-dict-key", "one-element-dict-pair", "deep-nesting",
+        ],
+    )
+    def test_malformed_body_raises_wire_error(self, body):
+        with pytest.raises(wire.WireError):
+            wire.load_frame(body)
+
 
 class TestStreamFraming:
     def _read(self, data: bytes, raw: bool = False):
